@@ -8,6 +8,8 @@
   future-work section proposes),
 * :mod:`repro.core.profile` — the ``TaskVersionSet`` bookkeeping of
   Table I,
+* :mod:`repro.core.decision` — the policy's placement rule, one pure
+  function over plain data,
 * :mod:`repro.core.versioning` — the scheduling policy itself,
 * :mod:`repro.core.locality` — the locality-aware variant sketched in
   §VII,

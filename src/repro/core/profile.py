@@ -18,7 +18,7 @@ The hierarchy here matches the table column-for-column::
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 from repro.core.estimator import Estimator, RunningMean, make_estimator
 from repro.core.grouping import ExactSizeGrouping, SizeGrouping
@@ -137,41 +137,6 @@ class SizeGroupProfile:
             p.assigned -= 1
 
     # ------------------------------------------------------------------
-    def in_learning_phase(self, version_names: Iterable[str], lam: int) -> bool:
-        """True while any candidate version has fewer than λ executions.
-
-        "Once all tasks versions belonging to the same group of data set
-        sizes have been run at least λ times, we consider that the
-        scheduler has enough reliable information." (§IV-B)
-        """
-        return any(self.executions(v) < lam for v in version_names)
-
-    def least_assigned(self, version_names: list[str]) -> str:
-        """Learning-phase pick: fewest (executions + pending dispatches);
-        ties fall back to declaration order, giving round-robin."""
-        if not version_names:
-            raise ValueError("no candidate versions")
-        return min(
-            version_names,
-            key=lambda v: (
-                self.executions(v) + self.profile(v).assigned,
-                version_names.index(v),
-            ),
-        )
-
-    def fastest_version(self, version_names: Iterable[str]) -> str:
-        """The fastest-executor version for this size group (§IV-B)."""
-        best: Optional[tuple[float, str]] = None
-        for v in version_names:
-            m = self.mean_time(v)
-            if m is None:
-                continue
-            if best is None or (m, v) < best:
-                best = (m, v)
-        if best is None:
-            raise ValueError("fastest_version called before any execution was recorded")
-        return best[1]
-
     def total_executions(self) -> int:
         return sum(p.executions for p in self._versions.values())
 

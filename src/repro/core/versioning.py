@@ -19,6 +19,11 @@ Policy summary:
   version's running mean, and an unseen data-set size sends that group
   back to the learning phase.
 
+The placement rule itself is one pure function,
+:func:`repro.core.decision.decide`; this class keeps the bookkeeping
+around it: the ready pool, per-worker busy estimates, pending
+assignments, per-definition plans and per-group state.
+
 Dispatch discipline
 -------------------
 Ready tasks enter the scheduler's pool and are *pumped* into per-worker
@@ -62,11 +67,13 @@ expected number of attempts per completed task there is ``1/(1-rate)``.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Deque, Hashable, Optional
 
+from repro.core.decision import Decision, VersionPlan, decide, learning_credit
 from repro.core.grouping import SizeGrouping, make_grouping
 from repro.core.profile import SizeGroupProfile, VersionProfileTable
-from repro.runtime.task import TaskInstance, TaskVersion
+from repro.runtime.task import TaskDefinition, TaskInstance, TaskVersion
 from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -142,18 +149,44 @@ class VersioningScheduler(Scheduler):
         self.preloaded_entries = 0
         if hints and warm_start != "cold":
             self.preloaded_entries = self.table.preload(hints)
+        # λ-credit cap on preloaded executions (None: they count fully)
+        self._credit_cap = (
+            max(0, lam - probation_lam) if warm_start == "probation" else None
+        )
+        # the penalty hook is only called when a subclass overrides it
+        self._penalized = (
+            type(self)._placement_penalty is not VersioningScheduler._placement_penalty
+        )
         # ready tasks not yet placed in any worker queue (FIFO)
         self._pool: Deque[TaskInstance] = deque()
+        # pooled task uid -> its (task name, size-group key), computed
+        # once at ready (kept beside the pool rather than in it: a
+        # per-task tuple holding the task would be one more container
+        # for the garbage collector to track)
+        self._gkey_by_uid: dict[int, tuple[str, Hashable]] = {}
+        # bumped by every pool append or steal: a pump that sees it move
+        # across a dispatch rescans from the head
+        self._pool_edits = 0
         # count of pooled tasks with a non-zero priority clause, kept in
         # step with every _pool mutation: _pump consults it per scan
         # instead of re-walking the pool
         self._prio_in_pool = 0
         self._pumping = False
+        # (task name, size-group key) -> its _GroupState, created at the
+        # key's first decision
+        self._groups: dict[tuple[str, Hashable], _GroupState] = {}
+        # task definition -> its VersionPlan, valid for one value of the
+        # runtime's liveness epoch (_plans_epoch)
+        self._plans: dict[TaskDefinition, VersionPlan] = {}
+        self._plans_epoch = -1
         # worker name -> estimated busy time (sum of estimates of queued
         # + running tasks, §IV-B "OmpSs worker estimated busy time")
         self._busy_est: dict[str, float] = {}
-        # task uid -> the estimate added at dispatch (to subtract at finish)
+        # task uid -> the estimate added at dispatch, and the state of
+        # its size group, to undo at finish or requeue (two dicts, not
+        # one of tuples, for the same reason as _gkey_by_uid)
         self._est_by_uid: dict[int, float] = {}
+        self._state_by_uid: dict[int, _GroupState] = {}
         # diagnostics for tests/benches
         self.learning_dispatches = 0
         self.reliable_dispatches = 0
@@ -170,6 +203,11 @@ class VersioningScheduler(Scheduler):
     def bind(self, runtime) -> None:  # type: ignore[override]
         super().bind(runtime)
         self._busy_est = {w.name: 0.0 for w in runtime.workers}
+        # plans name the previous runtime's workers: drop every one
+        self._plans.clear()
+        self._plans_epoch = -1
+        for state in self._groups.values():
+            state.plan = state.graduated = None
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and the Figure 5 bench)
@@ -191,10 +229,7 @@ class VersioningScheduler(Scheduler):
         always count in full.  (Under ``cold`` nothing was preloaded, so
         all three collapse to the raw execution count.)
         """
-        p = group.profile(version_name)
-        if p.preloaded <= 0 or self.warm_start != "probation":
-            return p.executions
-        return p.live_executions + min(p.preloaded, max(0, self.lam - self.probation_lam))
+        return learning_credit(group.profile(version_name), self._credit_cap)
 
     def in_learning_phase(self, group: SizeGroupProfile, version_names: list[str]) -> bool:
         """True while any candidate version lacks λ credited executions."""
@@ -216,23 +251,40 @@ class VersioningScheduler(Scheduler):
             return 0.0
         return resilience.worker_fault_rate(worker.name)
 
-    def _has_room(self, worker: "Worker", bound: Optional[int] = None) -> bool:
-        return worker.load() < (self.queue_depth if bound is None else bound)
-
-    def _runnable_versions(self, t: TaskInstance) -> list[TaskVersion]:
-        """Versions of ``t`` that at least one present worker can run."""
-        out = [v for v in t.definition.versions if self.capable_workers(v)]
-        if not out:
-            raise RuntimeError(
-                f"no worker on this machine can run any version of task {t.name!r}"
-            )
-        return out
+    def _plan(self, definition: TaskDefinition) -> VersionPlan:
+        """The cached plan of ``definition``: versions that at least one
+        live worker can run, with their capable workers.  Plans are
+        rebuilt after any worker's liveness changes."""
+        assert self.rt is not None
+        epoch = self.rt.liveness_epoch
+        if epoch != self._plans_epoch:
+            self._plans.clear()
+            self._plans_epoch = epoch
+        plan = self._plans.get(definition)
+        if plan is None:
+            versions: list[TaskVersion] = []
+            pairs: list[tuple[tuple[Worker, str], ...]] = []
+            for v in definition.versions:
+                workers = self.capable_workers(v)
+                if workers:
+                    versions.append(v)
+                    pairs.append(tuple((w, w.name) for w in workers))
+            if not versions:
+                raise RuntimeError(
+                    "no worker on this machine can run any version of task "
+                    f"{definition.name!r}"
+                )
+            plan = VersionPlan(tuple(versions), tuple(pairs))
+            self._plans[definition] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Runtime hooks
     # ------------------------------------------------------------------
     def task_ready(self, t: TaskInstance) -> None:
         self._pool.append(t)
+        self._gkey_by_uid[t.uid] = (t.name, self.table.grouping.key(t.data_bytes))
+        self._pool_edits += 1
         if t.priority:
             self._prio_in_pool += 1
         self._pump()
@@ -251,6 +303,8 @@ class VersioningScheduler(Scheduler):
             t = self._pool[i]
             if accept(t):
                 del self._pool[i]
+                del self._gkey_by_uid[t.uid]
+                self._pool_edits += 1
                 if t.priority:
                     self._prio_in_pool -= 1
                 return t
@@ -258,10 +312,10 @@ class VersioningScheduler(Scheduler):
 
     def task_finished(self, t: TaskInstance, worker: "Worker", measured: float) -> None:
         est = self._est_by_uid.pop(t.uid, 0.0)
+        state = self._state_by_uid.pop(t.uid, None) or self._state(t)
         self._busy_est[worker.name] = max(0.0, self._busy_est[worker.name] - est)
         assert t.chosen_version is not None
-        group = self.table.group(t.name, t.data_bytes)
-        group.record(t.chosen_version.name, measured)
+        state.record(t.chosen_version.name, measured)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -274,12 +328,13 @@ class VersioningScheduler(Scheduler):
         estimate joins the target worker's busy account and a pending
         learning assignment is noted, both undone symmetrically by
         ``task_finished`` (win) or ``task_requeued`` (withdrawal)."""
-        group = self.table.group(t.name, t.data_bytes)
-        est = group.mean_time(version.name)
+        state = self._state(t)
+        est = state.group.mean_time(version.name)
         est_value = est if est is not None else 0.0
         self._busy_est[worker.name] += est_value
         self._est_by_uid[t.uid] = est_value
-        group.note_assigned(version.name)
+        self._state_by_uid[t.uid] = state
+        state.group.note_assigned(version.name)
 
     def task_requeued(self, t: TaskInstance, worker: "Worker") -> None:
         """Undo the dispatch bookkeeping of a task pulled back by fault
@@ -289,9 +344,9 @@ class VersioningScheduler(Scheduler):
         est = self._est_by_uid.pop(t.uid, None)
         if est is not None:
             self._busy_est[worker.name] = max(0.0, self._busy_est[worker.name] - est)
+        state = self._state_by_uid.pop(t.uid, None)
         if t.chosen_version is not None:
-            group = self.table.group(t.name, t.data_bytes)
-            group.note_unassigned(t.chosen_version.name)
+            (state or self._state(t)).group.note_unassigned(t.chosen_version.name)
 
     def worker_down(self, worker: "Worker") -> None:
         # per-task estimates were already released via task_requeued when
@@ -308,6 +363,13 @@ class VersioningScheduler(Scheduler):
     def _pump(self) -> None:
         """Place pool tasks into worker queues while there is room.
 
+        One scan in priority-then-FIFO order.  A group whose task found
+        no placement is *blocked* for the rest of the scan: a placement
+        only adds queue load, busy time and pending assignments of other
+        groups, so it cannot unblock it.  The scan restarts from the
+        head only when the pool itself changes under a dispatch (a
+        steal or a re-entrant ready task).
+
         Reentrancy guard: dispatching starts tasks, which calls back
         into ``task_started`` -> ``_pump``.
         """
@@ -315,230 +377,105 @@ class VersioningScheduler(Scheduler):
             return
         assert self.rt is not None
         self._pumping = True
+        pool = self._pool
+        gkeys = self._gkey_by_uid
         try:
-            while self._pool:
-                placed = False
-                # groups found unplaceable in this scan: skip their other
-                # tasks (same candidates, same full workers)
+            rescan = True
+            while rescan and pool:
+                rescan = False
                 blocked: set = set()
-                # scan by the priority clause first (stable FIFO within
-                # equal priorities); zero-priority pools keep plain order
-                # (the counter tracks _pool mutations, so this is O(1))
+                # scan by the priority clause first (stable sort keeps
+                # FIFO within equal priorities); the counter tracks pool
+                # mutations, so zero-priority pools skip the sort in O(1)
                 if self._prio_in_pool:
-                    scan = sorted(
-                        enumerate(self._pool), key=lambda it: (-it[1].priority, it[0])
-                    )
+                    scan = sorted(pool, key=_neg_priority)
                 else:
-                    scan = enumerate(self._pool)
-                for i, t in scan:
-                    gkey = (t.name, self.table.grouping.key(t.data_bytes))
+                    scan = list(pool)
+                for t in scan:
+                    gkey = gkeys[t.uid]
                     if gkey in blocked:
                         continue
-                    placement = self._choose(t)
-                    if placement is None:
+                    state, decision = self._decide(t, gkey)
+                    if decision is None:
                         blocked.add(gkey)
                         continue
-                    version, worker, learning = placement
-                    del self._pool[i]
+                    pool.remove(t)
+                    del gkeys[t.uid]
                     if t.priority:
                         self._prio_in_pool -= 1
-                    group = self.table.group(t.name, t.data_bytes)
-                    est = group.mean_time(version.name)
-                    est_value = est if est is not None else 0.0
-                    self._busy_est[worker.name] += est_value
-                    self._est_by_uid[t.uid] = est_value
-                    group.note_assigned(version.name)
-                    counters = self.group_dispatches.setdefault(
-                        gkey, {"learning": 0, "reliable": 0}
-                    )
-                    if learning:
-                        self.learning_dispatches += 1
-                        counters["learning"] += 1
-                    else:
-                        self.reliable_dispatches += 1
-                        counters["reliable"] += 1
-                        if gkey not in self.group_reliable_at:
-                            self.group_reliable_at[gkey] = self.rt.engine.now
-                    self.rt.dispatch(t, worker, version)
-                    placed = True
-                    break
-                if not placed:
-                    break
+                    self._book(t, gkey, state, decision)
+                    edits = self._pool_edits
+                    self.rt.dispatch(t, decision[1], decision[0])
+                    if self._pool_edits != edits:
+                        rescan = True
+                        break
         finally:
             self._pumping = False
 
-    def _choose(
-        self, t: TaskInstance
-    ) -> Optional[tuple[TaskVersion, "Worker", bool]]:
-        """Pick (version, worker, is_learning) for ``t``, or None if no
-        capable worker currently has queue room."""
-        versions = self._runnable_versions(t)
-        group = self.table.group(t.name, t.data_bytes)
-        names = [v.name for v in versions]
-        # version-fallback retry: a (version, worker) pair the task has
-        # already faulted on is avoided while an alternative exists —
-        # the paper's multi-version tables double as the degradation path
-        avoid = frozenset(t.failed_pairs)
+    def _state(
+        self, t: TaskInstance, gkey: Optional[tuple[str, Hashable]] = None
+    ) -> _GroupState:
+        """The state of ``t``'s size group, created on first use."""
+        if gkey is None:
+            gkey = (t.name, self.table.grouping.key(t.data_bytes))
+        state = self._groups.get(gkey)
+        if state is None:
+            state = _GroupState(self.table.group(t.name, t.data_bytes))
+            self._groups[gkey] = state
+        return state
 
-        if self.in_learning_phase(group, names):
-            # λ-capped round-robin into workers with queue room.
-            choice = self._learning_choice(t, versions, group)
-            if choice is not None:
-                return (*choice, True)
-            # Every version already has λ runs underway but none recorded
-            # yet: keep feeding workers that have room so nobody idles
-            # while the slow λ-runs retire (estimates are still unknown,
-            # so room-gating is the only sane throttle here).
-            choice = self._earliest_executor(
-                t, versions, group, allow_unknown=True, require_room=True, avoid=avoid
-            )
-            if choice is None and avoid:
-                choice = self._earliest_executor(
-                    t, versions, group, allow_unknown=True, require_room=True
-                )
-            if choice is not None:
-                return (*choice, True)
-            return None
-        # Reliable phase: the paper pushes at ready time into unbounded
-        # per-worker queues (Figure 5 shows deep task lists); the busy
-        # estimate, not queue room, is what steers placement.  With
-        # ``reliable_queue_bound`` set the push is room-gated instead
-        # (late binding; tasks wait in the pool and stay stealable).
-        bounded = self.reliable_queue_bound is not None
-        choice = self._earliest_executor(
-            t, versions, group, allow_unknown=False, require_room=bounded,
-            room_bound=self.reliable_queue_bound, avoid=avoid
-        )
-        if choice is None and avoid:
-            # every viable pair already faulted for this task: fall back
-            # to the plain earliest executor rather than deadlocking
-            choice = self._earliest_executor(
-                t, versions, group, allow_unknown=False, require_room=bounded,
-                room_bound=self.reliable_queue_bound
-            )
-        if choice is None:
-            return None
-        return (*choice, False)
-
-    def _learning_choice(
-        self, t: TaskInstance, versions: list[TaskVersion], group: SizeGroupProfile
-    ) -> Optional[tuple[TaskVersion, "Worker"]]:
-        """Round-robin λ executions per version, least-booked worker first.
-
-        A version stops receiving learning dispatches once λ runs are
-        *underway* (recorded + pending), so a burst of ready tasks does
-        not flood a slow version's worker before any feedback arrives.
-        """
-        order = [v.name for v in versions]
-        pending_needed = [
-            v
-            for v in versions
-            if self.learning_credit(group, v.name) + group.profile(v.name).assigned
-            < self.lam
-        ]
-        if not pending_needed:
-            return None
-        # The λ runs are mandatory: queue them even on a busy worker —
-        # waiting for queue room would starve a version whose device is
-        # saturated (exactly the GPU potrf case in Cholesky).
-        # A version whose every dispatchable worker already faulted this
-        # task (or that has no dispatchable worker at all) yields to the
-        # alternatives — retries prefer a fresh (version, worker) pair.
-        def exhausted(v: TaskVersion) -> bool:
-            return all(
-                (v.name, w.name) in t.failed_pairs
-                for w in self.capable_workers(v)
-                if self.dispatchable(w)
-            )
-
-        chosen = min(
-            pending_needed,
-            key=lambda v: (
-                exhausted(v),
-                self.learning_credit(group, v.name) + group.profile(v.name).assigned,
-                order.index(v.name),
-            ),
-        )
-        if t.failed_pairs and exhausted(chosen):
-            # every learning-eligible pair already faulted this task: let
-            # the overflow path place it on a fresh pair instead
-            return None
-        candidates = [w for w in self.capable_workers(chosen) if self.dispatchable(w)]
-        if not candidates:
-            return None
-        worker = min(
-            candidates,
-            key=lambda w: (
-                (chosen.name, w.name) in t.failed_pairs,
-                self.estimated_busy_time(w),
-                w.load(),
-                w.name,
-            ),
-        )
-        return chosen, worker
-
-    def _earliest_executor(
-        self,
-        t: TaskInstance,
-        versions: list[TaskVersion],
-        group: SizeGroupProfile,
-        *,
-        allow_unknown: bool,
-        require_room: bool,
-        room_bound: Optional[int] = None,
-        avoid: frozenset = frozenset(),
-    ) -> Optional[tuple[TaskVersion, "Worker"]]:
-        """Minimise (estimated busy time + version mean time) over
-        (version, worker) pairs — the §IV-B earliest-executor rule.
-
-        ``allow_unknown`` admits versions with no recorded mean yet
-        (treated as the mean of the known versions, pessimistically the
-        slowest known, so an unprofiled version never looks free).
-        ``require_room`` restricts candidates to workers with queue room
-        (used only while estimates are still unknown).  ``avoid`` is a
-        set of (version name, worker name) pairs excluded from the
-        search — the pairs a retried task has already faulted on.
-        """
-        known = [group.mean_time(v.name) for v in versions]
-        known_means = [m for m in known if m is not None]
-        fallback = max(known_means) if known_means else 0.0
-
-        # hoisted invariants: no simulation event runs inside this scan,
-        # so engine.now and the busy-estimate table are constant
+    def _decide(
+        self, t: TaskInstance, gkey: tuple[str, Hashable]
+    ) -> tuple[_GroupState, Optional[Decision]]:
+        """Run the decision kernel for ``t`` on the scheduler's state."""
         assert self.rt is not None
-        now = self.rt.engine.now
-        busy = self._busy_est
-        fault_aware = self.fault_aware
-        best: Optional[tuple[float, str, str]] = None
-        best_pair: Optional[tuple[TaskVersion, "Worker"]] = None
-        for v, mean in zip(versions, known):
-            if mean is None:
-                if not allow_unknown:
-                    continue
-                mean = fallback
-            vname = v.name
-            for w in self.capable_workers(v):
-                if not w.available(now):
-                    continue
-                if avoid and (vname, w.name) in avoid:
-                    continue
-                if require_room and not self._has_room(w, room_bound):
-                    continue
-                finish = busy[w.name] + mean
-                if fault_aware:
-                    # expected attempts per completed task on a worker
-                    # with transient-fault rate p is 1/(1-p): inflate the
-                    # whole busy+exec estimate so a flaky-but-fast device
-                    # is discounted before it faults again
-                    rate = self.worker_fault_rate(w)
-                    if rate > 0.0:
-                        finish /= 1.0 - min(rate, self.fault_rate_cap)
-                finish += self._placement_penalty(t, v, w)
-                key = (finish, w.name, vname)
-                if best is None or key < best:
-                    best = key
-                    best_pair = (v, w)
-        return best_pair
+        state = self._state(t, gkey)
+        plan = self._plan(t.definition)
+        decision = decide(
+            plan, state.group, state.means_for(plan), self._busy_est, self.rt.engine.now,
+            lam=self.lam,
+            credit_cap=self._credit_cap,
+            graduated=state.graduated is plan,
+            room=self.queue_depth,
+            reliable_room=self.reliable_queue_bound,
+            avoid=t.failed_pairs,
+            fault_rates=self._fault_rates() if self.fault_aware else None,
+            penalty=partial(self._placement_penalty, t) if self._penalized else None,
+        )
+        if decision is not None and decision[2] == "reliable":
+            state.graduated = plan
+        return state, decision
+
+    def _book(
+        self, t: TaskInstance, gkey: tuple[str, Hashable],
+        state: _GroupState, decision: Decision,
+    ) -> None:
+        """Dispatch-time bookkeeping of one decision."""
+        assert self.rt is not None
+        version, worker, phase, _, est = decision
+        self._busy_est[worker.name] += est
+        self._est_by_uid[t.uid] = est
+        self._state_by_uid[t.uid] = state
+        state.group.note_assigned(version.name)
+        counters = self.group_dispatches.get(gkey)
+        if counters is None:
+            counters = self.group_dispatches[gkey] = {"learning": 0, "reliable": 0}
+        counters[phase] += 1
+        if phase == "learning":
+            self.learning_dispatches += 1
+        else:
+            self.reliable_dispatches += 1
+            if gkey not in self.group_reliable_at:
+                self.group_reliable_at[gkey] = self.rt.engine.now
+
+    def _fault_rates(self) -> dict[str, float]:
+        """Worker name -> transient-fault rate, capped, for rates above 0."""
+        rates: dict[str, float] = {}
+        for w in self.workers:
+            rate = self.worker_fault_rate(w)
+            if rate > 0.0:
+                rates[w.name] = min(rate, self.fault_rate_cap)
+        return rates
 
     def _placement_penalty(
         self, t: TaskInstance, version: TaskVersion, worker: "Worker"
@@ -546,3 +483,45 @@ class VersioningScheduler(Scheduler):
         """Extra cost of placing ``t`` on this worker (0 here; the
         locality variant adds estimated transfer time)."""
         return 0.0
+
+
+def _neg_priority(t: TaskInstance) -> int:
+    return -t.priority
+
+
+class _GroupState:
+    """The scheduler's view of one size group.
+
+    ``graduated`` is the plan under which the group left the learning
+    phase: λ-credit only grows (executions are only ever added; preload
+    happens at construction), so the credit check is skipped while that
+    plan holds.  ``means`` are the group's recorded means aligned with
+    ``plan.names``; the scheduler is the only writer of the profiles,
+    so :meth:`record` re-reads the one mean it changes and every other
+    decision reuses them.
+    """
+
+    __slots__ = ("group", "graduated", "plan", "means")
+
+    def __init__(self, group: SizeGroupProfile) -> None:
+        self.group = group
+        self.graduated: Optional[VersionPlan] = None
+        self.plan: Optional[VersionPlan] = None
+        self.means: list[Optional[float]] = []
+
+    def means_for(self, plan: VersionPlan) -> list[Optional[float]]:
+        if self.plan is not plan:
+            self.means = [self.group.mean_time(n) for n in plan.names]
+            self.plan = plan
+        return self.means
+
+    def record(self, version_name: str, measured: float) -> None:
+        self.group.record(version_name, measured)
+        if self.plan is None:
+            return
+        try:
+            i = self.plan.names.index(version_name)
+        except ValueError:  # a version the plan dropped: reload on next use
+            self.plan = None
+            return
+        self.means[i] = self.group.mean_time(version_name)

@@ -273,6 +273,10 @@ class OmpSsRuntime:
             self.recorder = AccessRecorder()
         self.workers: list[Worker] = [Worker(d) for d in machine.devices]
         self._workers_by_name = {w.name: w for w in self.workers}
+        #: bumped whenever a worker's ``alive`` flag changes (worker or
+        #: node down, node up): schedulers key cached per-worker-set
+        #: state on it
+        self.liveness_epoch = 0
 
         #: cluster node layout, set via :meth:`enable_node_topology` by
         #: node-aware schedulers (typically during their ``bind``); None
@@ -1174,6 +1178,7 @@ class OmpSsRuntime:
             return
         now = self.engine.now
         worker.alive = False
+        self.liveness_epoch += 1
         worker.quarantined_until = None
         self.trace.add(now, now, worker.name, "worker-down", worker.device.name)
         redispatched = 0
@@ -1255,6 +1260,7 @@ class OmpSsRuntime:
         for w in self.workers:
             if layout.node_of_space.get(w.space) == node and not w.alive:
                 w.alive = True
+                self.liveness_epoch += 1
                 w.free_at = now
                 w.quarantined_until = None
                 w.current = None

@@ -1,7 +1,10 @@
 """Tests for the TaskVersionSet data model (Table I)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.decision import VersionPlan, decide
 from repro.core.estimator import EWMA
 from repro.core.grouping import ExactSizeGrouping, RelativeSizeGrouping
 from repro.core.profile import (
@@ -12,6 +15,34 @@ from repro.core.profile import (
 )
 
 MB = 1024**2
+
+
+class IdleWorker:
+    def __init__(self, name):
+        self.name = name
+
+    def available(self, now):
+        return True
+
+    def load(self):
+        return 0
+
+
+def kernel_pick(group, names, lam=3):
+    """(version, phase) the decision kernel picks for one task of
+    ``group`` when every version has an idle worker of its own."""
+    workers = [IdleWorker(f"w{i}") for i in range(len(names))]
+    plan = VersionPlan(
+        tuple(SimpleNamespace(name=n) for n in names),
+        tuple(((w, w.name),) for w in workers),
+    )
+    got = decide(
+        plan, group, [group.mean_time(n) for n in names],
+        {w.name: 0.0 for w in workers}, 0.0,
+        lam=lam, credit_cap=None, graduated=False, room=2, reliable_room=None,
+        avoid=set(), fault_rates=None, penalty=None,
+    )
+    return got[0].name, got[2]
 
 
 class TestVersionProfile:
@@ -40,17 +71,17 @@ class TestSizeGroupProfile:
         names = ["a", "b"]
         for _ in range(3):
             g.record("a", 0.01)
-        assert g.in_learning_phase(names, 3)  # b still unlearned
+        assert kernel_pick(g, names) == ("b", "learning")  # b still unlearned
         for _ in range(3):
             g.record("b", 0.02)
-        assert not g.in_learning_phase(names, 3)
+        assert kernel_pick(g, names) == ("a", "reliable")
 
     def test_least_assigned_round_robins(self):
         g = SizeGroupProfile(MB, MB)
         names = ["a", "b", "c"]
         picks = []
         for _ in range(6):
-            v = g.least_assigned(names)
+            v, _ = kernel_pick(g, names)
             g.note_assigned(v)
             picks.append(v)
         assert picks == ["a", "b", "c", "a", "b", "c"]
@@ -58,22 +89,23 @@ class TestSizeGroupProfile:
     def test_least_assigned_counts_executions(self):
         g = SizeGroupProfile(MB, MB)
         g.record("a", 0.01)
-        assert g.least_assigned(["a", "b"]) == "b"
+        assert kernel_pick(g, ["a", "b"]) == ("b", "learning")
 
     def test_least_assigned_empty_rejected(self):
+        # the kernel's candidate set is a plan; an empty one is an error
         with pytest.raises(ValueError):
-            SizeGroupProfile(MB, MB).least_assigned([])
+            VersionPlan((), ())
 
     def test_fastest_version(self):
         g = SizeGroupProfile(MB, MB)
         g.record("slow", 0.030)
         g.record("fast", 0.018)
         g.record("mid", 0.025)
-        assert g.fastest_version(["slow", "fast", "mid"]) == "fast"
+        assert kernel_pick(g, ["slow", "fast", "mid"], lam=1) == ("fast", "reliable")
 
     def test_fastest_requires_data(self):
-        with pytest.raises(ValueError):
-            SizeGroupProfile(MB, MB).fastest_version(["a"])
+        # no recorded run: the earliest-executor rule is never applied
+        assert kernel_pick(SizeGroupProfile(MB, MB), ["a"], lam=1) == ("a", "learning")
 
     def test_total_executions(self):
         g = SizeGroupProfile(MB, MB)
@@ -130,8 +162,8 @@ class TestVersionProfileTable:
     def test_fastest_executor_matches_paper(self):
         t = self.make_table_like_paper()
         names = ["task1-v1", "task1-v2", "task1-v3"]
-        assert t.group("task1", 2 * MB).fastest_version(names) == "task1-v2"
-        assert t.group("task1", 3 * MB).fastest_version(names) == "task1-v2"
+        assert kernel_pick(t.group("task1", 2 * MB), names) == ("task1-v2", "reliable")
+        assert kernel_pick(t.group("task1", 3 * MB), names) == ("task1-v2", "reliable")
 
     def test_to_dict_roundtrip_via_preload(self):
         t = self.make_table_like_paper()
