@@ -18,9 +18,18 @@ therefore never hashes raw identifiers:
   in the deterministic order the dependence analysis discovered them.
 
 The result is hashed as canonical JSON (sorted keys, fixed separators)
-under SHA-256.  :class:`GraphCapture` runs an application's master body
-against a recording stub — dependence analysis only, no simulation — so
-a fingerprint costs graph construction, not a run.
+under SHA-256.
+
+The service fingerprints a successful run from the run's own graph
+(:func:`graph_fingerprint` of ``RunResult.graph``): the runtime's
+dependence graph keeps every task and edge, finished or not, in
+submission order, so it hashes exactly like a capture.
+:class:`GraphCapture` runs an application's master body against a
+recording stub — dependence analysis only, no simulation.  The service
+captures only when it must know a key without a whole run: to key a
+failed run (its own graph may be partial), to re-check a key rebuilt
+from a persisted cache on its first use, and to key a new spelling
+before it runs while the breaker holds some key in cooldown.
 """
 
 from __future__ import annotations
@@ -30,11 +39,17 @@ import json
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.runtime import context
-from repro.runtime.dependences import DependenceGraph
+from repro.runtime.dataregion import AccessKind
+from repro.runtime.dependences import DependenceGraph, DepKind
 from repro.runtime.task import TaskInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import Application
+
+#: clause and dependence kinds by name, looked up once per access/edge
+#: instead of through ``Enum.value``
+_ACCESS_NAMES = {k: k.value for k in AccessKind}
+_DEP_NAMES = {k: k.value for k in DepKind}
 
 
 def canonical_graph_dict(
@@ -45,26 +60,38 @@ def canonical_graph_dict(
     ``tasks`` must be in submission order; ``edges`` are
     :class:`~repro.runtime.dependences.DepEdge` objects between them.
     Raises :class:`KeyError` if an edge references an unknown task.
+
+    Regions are indexed by their interned ``rid`` (one per distinct
+    key), clause kinds go through the precomputed name tables, and each
+    definition's version names are listed once per call; tasks of one
+    definition share that list, which serialises to the same bytes.
     """
     task_index: dict[int, int] = {}
-    region_index: dict[Any, int] = {}
+    region_index: dict[int, int] = {}
     region_sizes: list[int] = []
+    version_names: dict[int, list[str]] = {}
     out_tasks: list[list] = []
 
     for pos, t in enumerate(tasks):
         task_index[t.uid] = pos
         accesses = []
         for acc in t.accesses:
-            rid = region_index.get(acc.region.key)
+            region = acc.region
+            rid = region_index.get(region.rid)
             if rid is None:
-                rid = len(region_index)
-                region_index[acc.region.key] = rid
-                region_sizes.append(int(acc.region.nbytes))
-            accesses.append([rid, acc.kind.value])
+                rid = region_index[region.rid] = len(region_sizes)
+                region_sizes.append(int(region.nbytes))
+            accesses.append([rid, _ACCESS_NAMES[acc.kind]])
+        definition = t.definition
+        names = version_names.get(id(definition))
+        if names is None:
+            names = version_names[id(definition)] = [
+                v.name for v in definition.versions
+            ]
         out_tasks.append(
             [
-                t.definition.name,
-                [v.name for v in t.definition.versions],
+                definition.name,
+                names,
                 accesses,
                 sorted((str(k), float(v)) for k, v in t.params.items()),
                 int(t.priority),
@@ -75,8 +102,8 @@ def canonical_graph_dict(
         [
             task_index[e.src],
             task_index[e.dst],
-            e.kind.value,
-            region_index[e.region.key],
+            _DEP_NAMES[e.kind],
+            region_index[e.region.rid],
         ]
         for e in edges
     ]
@@ -141,7 +168,9 @@ def app_graph_fingerprint(app: "Application") -> str:
 
     The application instance must be freshly constructed (masters may
     consume instance state); the capture does not simulate, so this is
-    cheap relative to a run.
+    cheap relative to a run.  It equals :func:`graph_fingerprint` of a
+    completed run's graph, which is how the service keys successful
+    runs (see the module docstring for when it captures instead).
     """
     cap = GraphCapture()
     with cap:

@@ -214,6 +214,11 @@ class ResultCache:
         with self._lock:
             return list(self._entries)
 
+    def metas(self) -> list[tuple[CacheKey, dict]]:
+        """Every entry's key and a copy of its ``meta``, LRU first."""
+        with self._lock:
+            return [(key, dict(entry.meta)) for key, entry in self._entries.items()]
+
     # ------------------------------------------------------------------
     # Persistence: atomic snapshots + an append-only journal between them
     # ------------------------------------------------------------------

@@ -52,13 +52,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from repro.runtime.fingerprint import app_graph_fingerprint
+from repro.runtime.fingerprint import app_graph_fingerprint, graph_fingerprint
 from repro.service.cache import CacheKey, ResultCache
 from repro.service.chaos import ServiceFaultInjector, ServiceFaultPlan
 from repro.service.session import AdmissionError, Job, Session
@@ -137,8 +138,10 @@ class SubmissionBreaker:
     deterministically fails.  Re-admission is probationary, mirroring
     worker quarantine in :mod:`repro.resilience.recovery`: after the
     cooldown one attempt is allowed — a failure re-trips immediately, a
-    success clears the record.  Thread-safe (consulted from worker
-    threads).
+    success clears the record.  While any key is in cooldown, the service
+    keys a spec it has not seen spelled that way before it runs, so a
+    differently spelled submission of a quarantined key is refused, not
+    run.  Thread-safe (consulted from worker threads).
     """
 
     def __init__(self, threshold: int = 3, cooldown_s: float = 30.0) -> None:
@@ -215,12 +218,23 @@ class SchedulerService:
         self._scheduler_pool: dict[tuple[str, str], _SchedulerEntry] = {}
         self._pool_lock = threading.Lock()
         # canonical (app, app_args, machine, machine_args) -> the two
-        # fingerprints of the cache key.  A captured graph and a built
-        # machine are deterministic functions of those spec fields, so
-        # repeated submissions skip graph capture entirely — that is
-        # what keeps a cache hit at transport cost instead of
-        # graph-construction cost.
-        self._fp_cache: dict[str, tuple[str, str]] = {}
+        # fingerprints of the cache key.  The task graph and the machine
+        # are deterministic functions of those spec fields, so a repeated
+        # submission finds its key without building anything — that is
+        # what keeps a cache hit at transport cost.  A cold run fills the
+        # memo from its own graph (see _execute for when a graph capture
+        # runs instead).  Every cache entry carries its memo key in
+        # ``meta``, so the memo is rebuilt from a persisted cache on
+        # start-up and a restarted server answers persisted entries
+        # without simulating.  The rebuilt fingerprints are those of the
+        # code that wrote the cache, so each stays unverified until its
+        # first use re-derives it from the current code.
+        self._fp_cache: dict[str, tuple[str, str]] = {
+            meta["memo"]: (key.graph_fp, key.machine_fp)
+            for key, meta in self.cache.metas()
+            if isinstance(meta.get("memo"), str)
+        }
+        self._fp_unverified: set[str] = set(self._fp_cache)
         self._fp_lock = threading.Lock()
         # cold_runs / scheduler_reuses are bumped from worker threads;
         # += is not atomic, so stats mutation takes this lock
@@ -536,71 +550,101 @@ class SchedulerService:
     # Job execution (worker thread)
     # ------------------------------------------------------------------
     def _execute(self, job: Job) -> dict:
-        """Fingerprint, consult the cache and breaker, simulate on a miss."""
-        import json
+        """Consult the memo, cache and breaker; simulate on a miss.
 
-        from repro.sim.calibrate import machine_fingerprint
-
+        A memo miss builds the app once, simulates it, and keys the
+        result by the fingerprint of the run's own dependence graph.  A
+        graph capture keys the spec instead in three cases: the first
+        use of a memo entry rebuilt from a persisted cache (older code
+        may have written it), a memo miss while the breaker holds some
+        key in cooldown (the spec may be a new spelling of that key, and
+        must be refused before it runs), and a failed run (its own graph
+        may be partial).
+        """
         spec = job.spec
-        fp_key = json.dumps(
-            {
-                "app": spec.app,
-                "app_args": dict(spec.app_args),
-                "machine": spec.machine,
-                "machine_args": dict(spec.machine_args),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        memo = _memo_key(spec)
         with self._fp_lock:
-            fps = self._fp_cache.get(fp_key)
-        machine = app = None
-        if fps is None:
-            graph_fp = app_graph_fingerprint(spec.build_app())
-            machine = spec.build_machine()
-            app = spec.build_app()
-            app.register_cost_models(machine)
-            machine_fp = machine_fingerprint(machine)
-            with self._fp_lock:
-                self._fp_cache[fp_key] = (graph_fp, machine_fp)
-        else:
-            graph_fp, machine_fp = fps
-        key = CacheKey(
-            graph_fp, machine_fp, spec.scheduler_key(), spec.seed, spec.config_key()
-        )
+            fps = self._fp_cache.get(memo)
+            unverified = memo in self._fp_unverified
+        built = None
+        if unverified or (fps is None and self.breaker.active()):
+            built = self._build(spec)
+            fps = self._capture_key(memo, spec, built[2])
+        if fps is not None:
+            key = self._cache_key(spec, *fps)
+            if not job.no_cache:
+                payload = self.cache.lookup(key)
+                if payload is not None:
+                    return self._ok(job, key, payload, cached=True)
+            retry_after = self.breaker.blocked_for(key)
+            if retry_after is not None:
+                raise QuarantinedError(key, retry_after)
 
-        if not job.no_cache:
-            payload = self.cache.lookup(key)
-            if payload is not None:
-                return self._ok(job, key, payload, cached=True)
-
-        retry_after = self.breaker.blocked_for(key)
-        if retry_after is not None:
-            raise QuarantinedError(key, retry_after)
-
-        if machine is None:
-            machine = spec.build_machine()
-            app = spec.build_app()
-            app.register_cost_models(machine)
-
+        machine, app, machine_fp = built or self._build(spec)
         try:
             result = self._simulate(job, spec, machine, app, machine_fp)
         except (SpecError, WallDeadlineExceededError, QuarantinedError):
             raise  # not the submission poisoning workers — no strike
         except Exception:
+            if fps is None:
+                fps = self._capture_key(memo, spec, machine_fp)
+                key = self._cache_key(spec, *fps)
+                retry_after = self.breaker.blocked_for(key)
+                if retry_after is not None:
+                    raise QuarantinedError(key, retry_after) from None
             if self.breaker.record_failure(key):
                 log.warning(
                     "breaker tripped for cache key %s after %d consecutive failures",
                     key.graph_fp, self.breaker.threshold,
                 )
             raise
+
+        if fps is None:
+            fps = self._memoise(memo, graph_fingerprint(result.graph), machine_fp)
+            key = self._cache_key(spec, *fps)
+            if not job.no_cache:
+                # a differently spelled spec may build the same graph and
+                # machine: its answer is already cached
+                payload = self.cache.lookup(key)
+                if payload is not None:
+                    return self._ok(job, key, payload, cached=True)
         self.breaker.record_success(key)
 
         from repro.runtime.serialize import run_result_to_dict
 
         payload = run_result_to_dict(result)
-        self.cache.insert(key, payload, meta={"app": spec.app, "tenant": job.tenant})
+        self.cache.insert(
+            key, payload, meta={"app": spec.app, "tenant": job.tenant, "memo": memo}
+        )
         return self._ok(job, key, payload, cached=False)
+
+    @staticmethod
+    def _build(spec: SubmissionSpec) -> tuple[Any, Any, str]:
+        """A fresh machine with the app's cost models, the app, and the
+        machine's fingerprint."""
+        from repro.sim.calibrate import machine_fingerprint
+
+        machine = spec.build_machine()
+        app = spec.build_app()
+        app.register_cost_models(machine)
+        return machine, app, machine_fingerprint(machine)
+
+    def _capture_key(self, memo: str, spec: SubmissionSpec, machine_fp: str) -> tuple[str, str]:
+        """Memoise the key fingerprints from a capture of a fresh app."""
+        return self._memoise(memo, app_graph_fingerprint(spec.build_app()), machine_fp)
+
+    def _memoise(self, memo: str, graph_fp: str, machine_fp: str) -> tuple[str, str]:
+        fps = (graph_fp, machine_fp)
+        with self._fp_lock:
+            self._fp_cache[memo] = fps
+            self._fp_unverified.discard(memo)
+        return fps
+
+    @staticmethod
+    def _cache_key(spec: SubmissionSpec, graph_fp: str, machine_fp: str) -> CacheKey:
+        return CacheKey(
+            graph_fp, machine_fp, spec.scheduler_key(), spec.seed, spec.config_key()
+        )
 
     def _simulate(
         self, job: Job, spec: SubmissionSpec, machine: Any, app: Any, machine_fp: str
@@ -715,6 +759,20 @@ class SchedulerService:
         }
 
 
+def _memo_key(spec: SubmissionSpec) -> str:
+    """Canonical JSON of the spec fields that fix its graph and machine."""
+    return json.dumps(
+        {
+            "app": spec.app,
+            "app_args": dict(spec.app_args),
+            "machine": spec.machine,
+            "machine_args": dict(spec.machine_args),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
 def _error(rid: Optional[str], code: str, message: str, **extra: Any) -> dict:
     out: dict[str, Any] = {
         "ok": False,
@@ -754,8 +812,6 @@ async def serve_tcp(
     and per response frame (corruption/truncation) — the wire-level
     failure modes the retrying clients are tested against.
     """
-    import json
-
     conn_ids = itertools.count(1)
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:

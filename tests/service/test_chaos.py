@@ -194,6 +194,36 @@ def test_breaker_quarantines_after_consecutive_failures():
         assert client.health()["breaker"]["tripped"] == 1
 
 
+def test_breaker_quarantines_a_differently_spelled_poison():
+    """An explicit default argument builds the same graph and machine, so
+    it shares the tripped cache key and is answered quarantined, not
+    run-failed — and refused before it runs, so it neither burns a
+    worker nor ends the quarantine early."""
+    config = ServiceConfig(workers=1, breaker_threshold=2, breaker_cooldown_s=60.0)
+    respelled = dict(POISON, app_args=dict(POISON["app_args"], tile_size=1024))
+    with ServiceHarness(config) as h:
+        runs = []
+        simulate = h.service._simulate
+
+        def counting_simulate(*args, **kwargs):
+            runs.append(args[1])
+            return simulate(*args, **kwargs)
+
+        h.service._simulate = counting_simulate
+        client = HarnessClient(h, tenant="poison-spelling")
+        for _ in range(2):
+            with pytest.raises(ServiceError) as err:
+                client.submit(POISON)
+            assert err.value.code == "run-failed"
+        assert len(runs) == 2
+        with pytest.raises(ServiceError) as err:
+            client.submit(respelled)
+        assert err.value.code == "quarantined"
+        assert len(runs) == 2  # not simulated during the cooldown
+        assert client.health()["breaker"]["active"] == 1
+        assert client.health()["breaker"]["tripped"] == 1
+
+
 def test_breaker_readmits_on_probation_after_cooldown():
     config = ServiceConfig(workers=1, breaker_threshold=2, breaker_cooldown_s=0.05)
     with ServiceHarness(config) as h:
@@ -334,6 +364,9 @@ def test_kill_and_restart_recovers_results_from_journal(tmp_path):
             outcome = client.submit(spec)
             assert outcome.cached  # recovered, not re-simulated
             assert outcome.result_payload == payloads[i]
+        # the memo was rebuilt from the journal's meta: no spec was
+        # simulated again just to find its cache key
+        assert restarted.service.cold_runs == 0
     finally:
         restarted.stop()
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 
 import pytest
 
 from repro.sanitizer.invariants import validate_run
+from repro.service.cache import CacheKey
 from repro.service.client import AsyncServiceClient, HarnessClient
 from repro.service.loadgen import run_loadgen, spec_pool
 from repro.service.server import SchedulerService, ServiceConfig, ServiceHarness
@@ -306,3 +308,98 @@ def test_cache_persists_across_service_instances(tmp_path):
         assert not HarnessClient(h).submit(spec).cached
     with ServiceHarness(ServiceConfig(workers=1, cache_path=path)) as h:
         assert HarnessClient(h).submit(spec).cached
+        # answered through the memo rebuilt from the cache, not re-run
+        assert h.service.cold_runs == 0
+
+
+def test_entries_without_memo_meta_still_answer_cached(tmp_path):
+    """A cache written before entries carried their memo key: the one
+    run finds the persisted answer and returns it, byte-equal."""
+    path = tmp_path / "service-cache.json"
+    spec = dict(SPEC, seed=64)
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=str(path))) as h:
+        first = HarnessClient(h).submit(spec)
+    snapshot = json.loads(path.read_text())
+    for record in snapshot["entries"].values():
+        del record["meta"]["memo"]
+    path.write_text(json.dumps(snapshot))
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=str(path))) as h:
+        again = HarnessClient(h).submit(spec)
+        assert again.cached
+        assert again.result_payload == first.result_payload
+        assert h.service.cold_runs == 1
+
+
+def test_explicit_default_spelling_is_answered_from_cache(harness):
+    """A spec spelling out a default builds the same graph and machine:
+    the one run finds the first answer cached and returns it."""
+    client = HarnessClient(harness, tenant="spelling-test")
+    spec = dict(SPEC, seed=62)
+    respelled = dict(spec, app_args=dict(spec["app_args"], tile_size=1024))
+    first = client.submit(spec)
+    second = client.submit(respelled)
+    assert not first.cached
+    assert second.cached
+    assert json.dumps(second.result_payload, sort_keys=True) == json.dumps(
+        first.result_payload, sort_keys=True
+    )
+
+
+def test_graph_captures_only_recheck_a_restarted_memo(tmp_path, monkeypatch):
+    """Cold misses key the cache by the run's own graph and memo hits
+    build nothing; after a restart, the first hit per spelling captures
+    the graph once to re-check the key the cache was written under."""
+    from repro.runtime.fingerprint import GraphCapture, app_graph_fingerprint
+
+    captured = []
+    submit = GraphCapture.submit
+
+    def spy(self, t):
+        captured.append(t)
+        submit(self, t)
+
+    monkeypatch.setattr(GraphCapture, "submit", spy)
+    path = str(tmp_path / "service-cache.json")
+    spec = dict(SPEC, seed=63)
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=path)) as h:
+        client = HarnessClient(h)
+        assert not client.submit(spec).cached  # cold miss
+        assert client.submit(spec).cached      # memo hit
+    assert captured == []
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=path)) as h:
+        client = HarnessClient(h)
+        assert client.submit(spec).cached  # first hit after restart
+        assert len(captured) == 8          # one capture of the 8-task graph
+        assert client.submit(spec).cached  # the key is verified now
+        assert h.service.cold_runs == 0
+    assert len(captured) == 8
+    # the spy sees a capture's every task
+    app_graph_fingerprint(SubmissionSpec.from_dict(spec).build_app())
+    assert len(captured) == 16
+
+
+@pytest.mark.parametrize("stale", ["graph_fp", "machine_fp"])
+def test_restart_never_answers_from_a_stale_key(tmp_path, stale):
+    """A persisted entry keyed by older code — its graph or machine
+    fingerprint no longer what this code builds for the spec — must not
+    answer the spec after a restart, though its meta names the spec."""
+    path = tmp_path / "service-cache.json"
+    spec = dict(SPEC, seed=65)
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=str(path))) as h:
+        first = HarnessClient(h).submit(spec)
+    snapshot = json.loads(path.read_text())
+    (encoded, record), = snapshot["entries"].items()
+    key = CacheKey.decode(encoded)
+    old_key = dataclasses.replace(key, **{stale: "old:" + getattr(key, stale)})
+    record["result"]["stale"] = True
+    snapshot["entries"] = {old_key.encode(): record}
+    path.write_text(json.dumps(snapshot))
+    with ServiceHarness(ServiceConfig(workers=1, cache_path=str(path))) as h:
+        client = HarnessClient(h)
+        again = client.submit(spec)
+        assert not again.cached
+        assert "stale" not in again.result_payload
+        assert again.result_payload == first.result_payload
+        assert h.service.cold_runs == 1
+        assert client.submit(spec).cached  # memoised under the current key
+        assert h.service.cold_runs == 1
