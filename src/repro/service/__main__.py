@@ -10,14 +10,16 @@
 * ``smoke`` — self-contained end-to-end check: start a server on an
   ephemeral port, run the load generator against it over TCP, assert
   the invariants CI cares about (everything completes, the cache gets
-  hits, cached answers are byte-identical), print the report.  Exits
-  non-zero on any violation, so CI needs no shell plumbing.
+  hits, cached answers are byte-identical, the stopped server's event
+  loop recorded no unhandled error), print the report.  Exits non-zero
+  on any violation, so CI needs no shell plumbing.
 * ``chaos-smoke`` — the same idea under seeded fault injection: a
   fault-free baseline, then a soak with worker crashes, connection
   drops and corrupt frames with retrying clients, then an abrupt kill
   and a restart on the same cache path.  Asserts 100% completion,
-  byte-identical results across all three phases, and journal-recovered
-  cache hits after the crash.
+  byte-identical results across all three phases, journal-recovered
+  cache hits after the crash, and no unhandled event-loop error in the
+  cleanly stopped phases.
 """
 
 from __future__ import annotations
@@ -133,6 +135,15 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if report.errors == 0 else 1
 
 
+def _loop_error_failures(harness: ServiceHarness, phase: str) -> list[str]:
+    """A cleanly stopped harness must have recorded no event-loop errors."""
+    return [
+        f"{phase}: unhandled event-loop error: {ctx.get('message')} "
+        f"({ctx.get('exception')!r})"
+        for ctx in harness.loop_errors
+    ]
+
+
 def cmd_smoke(args: argparse.Namespace) -> int:
     failures: list[str] = []
     config = _config_from(args)
@@ -178,6 +189,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         )
         if stats["jobs_failed"]:
             failures.append(f"{stats['jobs_failed']} jobs failed server-side")
+    failures += _loop_error_failures(harness, "server")
 
     for f in failures:
         print(f"SMOKE FAIL: {f}", file=sys.stderr)
@@ -216,6 +228,7 @@ def cmd_chaos_smoke(args: argparse.Namespace) -> int:
         with ServiceHarness(ServiceConfig(workers=args.workers), tcp=True) as h:
             assert h.address is not None
             baseline = run_loadgen_sync(*h.address, **load)
+        failures += _loop_error_failures(h, "baseline")
         print(f"baseline: {baseline.summary()}")
         if baseline.completed != baseline.requests:
             failures.append("baseline loadgen did not complete cleanly")
@@ -258,6 +271,7 @@ def cmd_chaos_smoke(args: argparse.Namespace) -> int:
         ) as h2:
             assert h2.address is not None
             replay = run_loadgen_sync(*h2.address, **load)
+        failures += _loop_error_failures(h2, "post-restart replay")
         print(f"post-restart replay: {replay.summary()}")
         if replay.completed != replay.requests:
             failures.append("post-restart replay did not complete cleanly")

@@ -6,6 +6,17 @@ first run's serialized :class:`~repro.runtime.runtime.RunResult` is
 parked under a :class:`CacheKey` and repeated submissions are answered
 from memory, byte-identical to the original.
 
+Each entry holds its payload once, as **canonical text**:
+``json.dumps(payload, sort_keys=True)``, the exact bytes the wire
+carries.  :meth:`ResultCache.insert` encodes it (on the simulator
+worker thread) and returns it; :meth:`ResultCache.lookup` returns it.
+No payload dict stays alive in the cache.  Enclosing encodes — the TCP
+response line, a journal line, a snapshot entry — go through
+:func:`dumps_spliced`, which writes the small envelope and splices the
+text in as a :class:`CanonicalJSON` value, byte-identical to encoding
+the payload dict in place.  So a payload is encoded once per insert,
+never per hit or per persistence write.
+
 The key's terms:
 
 * ``graph_fp`` — the canonical graph fingerprint
@@ -25,14 +36,17 @@ Persistence is crash-safe in two layers:
 
 * **snapshots** — the full store written atomically (temp file +
   ``os.replace``) by :meth:`ResultCache.save`, following ``repro.store``
-  conventions;
+  conventions (the bytes ``json.dump(store, fh, sort_keys=True)`` would
+  write, streamed one entry at a time);
 * an **append-only journal** (``<path>.journal``, NDJSON) recording
   every insert between snapshots.  On startup the snapshot is loaded
   and the journal replayed on top, so killing the server mid-write
   loses at most the entry being appended — never the store.  ``save``
   truncates the journal it just folded in.
 
-A corrupted or truncated snapshot (or journal with an alien schema) is
+Loading decodes each persisted result and re-encodes it canonically, so
+an entry answers with the same bytes it did before the restart.  A
+corrupted or truncated snapshot (or journal with an alien schema) is
 quarantined to ``<file>.corrupt`` with a warning and the cache starts
 cold — persistence failures degrade, they never kill the server.  All
 public methods are thread-safe — simulator workers call them from
@@ -50,7 +64,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +76,40 @@ PathLike = Union[str, Path]
 #: write; returning True makes the write fail with OSError.  Wired to
 #: :meth:`repro.service.chaos.ServiceFaultInjector.persist_fault`.
 PersistFaultHook = Callable[[str], bool]
+
+
+def canonical(payload: Any) -> str:
+    """The canonical text of ``payload``: what the wire carries for it."""
+    return json.dumps(payload, sort_keys=True)
+
+
+class CanonicalJSON:
+    """Canonical JSON text standing in for a value in an enclosing encode.
+
+    :func:`dumps_spliced` writes ``text`` as-is where ``json.dumps``
+    would have encoded the decoded value.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def dumps_spliced(obj: Mapping[str, Any]) -> str:
+    """``json.dumps(obj, sort_keys=True)``, splicing :class:`CanonicalJSON` values.
+
+    ``obj``'s keys must be strings.  Every other value is encoded on its
+    own with the settings ``json.dumps`` uses for a nested value, and
+    the separators are its defaults, so the result is byte-identical to
+    encoding ``obj`` with each spliced value decoded in place.
+    """
+    parts = []
+    for k in sorted(obj):
+        v = obj[k]
+        text = v.text if isinstance(v, CanonicalJSON) else json.dumps(v, sort_keys=True)
+        parts.append(f"{json.dumps(k)}: {text}")
+    return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -129,13 +177,19 @@ class ResultCacheStats:
 
 @dataclass
 class _Entry:
-    payload: dict
+    text: str  #: the payload's canonical text
     hits: int = 0
     meta: dict = field(default_factory=dict)
 
+    def record(self, **extra: Any) -> str:
+        """This entry as one persisted JSON object, its result spliced in."""
+        return dumps_spliced(
+            {"result": CanonicalJSON(self.text), "meta": self.meta, **extra}
+        )
+
 
 class ResultCache:
-    """Thread-safe LRU map from :class:`CacheKey` to result payloads."""
+    """Thread-safe LRU map from :class:`CacheKey` to canonical payload text."""
 
     def __init__(
         self,
@@ -167,8 +221,8 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, key: CacheKey) -> Optional[dict]:
-        """The cached result payload for ``key``, or None (counted)."""
+    def lookup(self, key: CacheKey) -> Optional[str]:
+        """The cached payload text for ``key``, or None (counted)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -177,17 +231,20 @@ class ResultCache:
             entry.hits += 1
             self.stats.hits += 1
             self._entries.move_to_end(key)
-            return entry.payload
+            return entry.text
 
-    def insert(self, key: CacheKey, payload: dict, *, meta: Optional[dict] = None) -> None:
-        """Park one result payload; evicts the LRU entry when full.
+    def insert(self, key: CacheKey, payload: Any, *, meta: Optional[dict] = None) -> str:
+        """Park one result payload as canonical text, and return the text.
 
-        With a journal configured the entry is also appended to it
-        (flushed), so a kill before the next snapshot cannot lose it.
-        A failed append degrades to warning + counter — the in-memory
-        entry is unaffected.
+        The payload is encoded here, once, before the lock is taken;
+        the caller answers with the returned text (a ``lookup`` would
+        count a false hit).  Evicts the LRU entry when full.  With a
+        journal configured the entry is also appended to it (flushed),
+        so a kill before the next snapshot cannot lose it.  A failed
+        append degrades to warning + counter — the in-memory entry is
+        unaffected.
         """
-        entry = _Entry(payload=payload, meta=dict(meta or {}))
+        entry = _Entry(text=canonical(payload), meta=dict(meta or {}))
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -196,6 +253,7 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
             self._append_journal(key, entry)
+        return entry.text
 
     def invalidate_machine(self, machine_fp: str) -> int:
         """Drop every entry recorded under ``machine_fp``.
@@ -259,7 +317,7 @@ class ResultCache:
             try:
                 key = CacheKey.decode(encoded)
                 self._entries[key] = _Entry(
-                    payload=record["result"],
+                    text=canonical(record["result"]),
                     hits=int(record.get("hits", 0)),
                     meta=dict(record.get("meta", {})),
                 )
@@ -300,7 +358,7 @@ class ResultCache:
             try:
                 key = CacheKey.decode(record["key"])
                 self._entries[key] = _Entry(
-                    payload=record["result"],
+                    text=canonical(record["result"]),
                     hits=int(record.get("hits", 0)),
                     meta=dict(record.get("meta", {})),
                 )
@@ -331,13 +389,7 @@ class ResultCache:
                     self._journal_fh.write(
                         json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n"
                     )
-            self._journal_fh.write(
-                json.dumps(
-                    {"key": key.encode(), "result": entry.payload, "meta": entry.meta},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            self._journal_fh.write(entry.record(key=key.encode()) + "\n")
             self._journal_fh.flush()
             self.stats.journal_appends += 1
         except OSError as exc:
@@ -360,17 +412,6 @@ class ResultCache:
         if self.path is None:
             return None
         with self._lock:
-            payload = {
-                "schema": CACHE_SCHEMA,
-                "entries": {
-                    key.encode(): {
-                        "result": entry.payload,
-                        "hits": entry.hits,
-                        "meta": entry.meta,
-                    }
-                    for key, entry in self._entries.items()
-                },
-            }
             try:
                 if self._persist_fault is not None and self._persist_fault("snapshot"):
                     raise OSError("injected snapshot write failure")
@@ -380,7 +421,7 @@ class ResultCache:
                 )
                 try:
                     with os.fdopen(fd, "w") as fh:
-                        json.dump(payload, fh, sort_keys=True)
+                        self._write_snapshot(fh)
                     os.replace(tmp, self.path)
                 except BaseException:
                     try:
@@ -406,6 +447,21 @@ class ResultCache:
                     pass
         return self.path
 
+    def _write_snapshot(self, fh: io.TextIOBase) -> None:
+        """Write ``{"entries": {...}, "schema": ...}`` as ``json.dump`` with
+        ``sort_keys`` would, one spliced entry at a time (caller holds
+        the lock)."""
+        fh.write('{"entries": {')
+        entries = sorted(
+            ((key.encode(), entry) for key, entry in self._entries.items()),
+            key=lambda item: item[0],
+        )
+        for i, (encoded, entry) in enumerate(entries):
+            if i:
+                fh.write(", ")
+            fh.write(f"{json.dumps(encoded)}: {entry.record(hits=entry.hits)}")
+        fh.write(f'}}, "schema": {json.dumps(CACHE_SCHEMA)}}}')
+
     def close(self) -> None:
         """Release the journal handle (entries stay journaled on disk)."""
         with self._lock:
@@ -417,4 +473,12 @@ class ResultCache:
                 self._journal_fh = None
 
 
-__all__ = ["CACHE_SCHEMA", "CacheKey", "ResultCache", "ResultCacheStats"]
+__all__ = [
+    "CACHE_SCHEMA",
+    "CacheKey",
+    "CanonicalJSON",
+    "ResultCache",
+    "ResultCacheStats",
+    "canonical",
+    "dumps_spliced",
+]

@@ -1,9 +1,10 @@
 """The scheduler service: a persistent async front-end over the simulator.
 
 One process hosts the simulator for many tenants.  Requests are
-newline-delimited JSON; the same :meth:`SchedulerService.handle_request`
-coroutine also serves as an in-process transport for tests and for
-:class:`ServiceHarness`.  The moving parts:
+newline-delimited JSON; :meth:`SchedulerService.respond` answers them for
+the TCP transport, and :meth:`SchedulerService.handle_request` wraps it
+as the in-process transport for tests and for :class:`ServiceHarness`.
+The moving parts:
 
 * per-tenant :class:`~repro.service.session.Session` admission queues
   (bounded; reject or backpressure on overflow),
@@ -19,7 +20,10 @@ coroutine also serves as an in-process transport for tests and for
   tenants — the paper's persistent-runtime behaviour, where the second
   tenant benefits from what the first tenant's runs taught the policy,
 * a :class:`~repro.service.cache.ResultCache` answering repeated
-  submissions without re-simulating, byte-identical to the first run.
+  submissions without re-simulating, byte-identical to the first run:
+  it holds each payload as canonical text, encoded once on the worker
+  thread, and every response line is written by one encoder
+  (:func:`encode_response`) that splices that text in.
 
 Robustness machinery (all failure modes reproducible under a seeded
 :class:`~repro.service.chaos.ServiceFaultPlan`):
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.runtime.fingerprint import app_graph_fingerprint, graph_fingerprint
-from repro.service.cache import CacheKey, ResultCache
+from repro.service.cache import CacheKey, CanonicalJSON, ResultCache, dumps_spliced
 from repro.service.chaos import ServiceFaultInjector, ServiceFaultPlan
 from repro.service.session import AdmissionError, Job, Session
 from repro.service.spec import SpecError, SubmissionSpec
@@ -377,11 +381,19 @@ class SchedulerService:
         self._spawn_worker(index)
 
     # ------------------------------------------------------------------
-    # The in-process transport (TCP wraps this too)
+    # Answering: ``respond`` serves TCP, ``handle_request`` in-process
     # ------------------------------------------------------------------
     async def handle_request(
         self, request: Mapping[str, Any], tenant: str = "anon"
     ) -> dict:
+        """Answer ``request`` with a plain dict; its ``result`` is a fresh
+        decode of the cached text, so callers may mutate it freely."""
+        return decode_response(await self.respond(request, tenant))
+
+    async def respond(self, request: Mapping[str, Any], tenant: str = "anon") -> dict:
+        """Answer ``request``; a submission's ``result`` is the cache's
+        canonical text as a :class:`CanonicalJSON`, for
+        :func:`encode_response`."""
         if not isinstance(request, Mapping):
             return _error(None, "bad-request", "request must be a JSON object")
         rid = request.get("id")
@@ -573,9 +585,9 @@ class SchedulerService:
         if fps is not None:
             key = self._cache_key(spec, *fps)
             if not job.no_cache:
-                payload = self.cache.lookup(key)
-                if payload is not None:
-                    return self._ok(job, key, payload, cached=True)
+                text = self.cache.lookup(key)
+                if text is not None:
+                    return self._ok(job, key, text, cached=True)
             retry_after = self.breaker.blocked_for(key)
             if retry_after is not None:
                 raise QuarantinedError(key, retry_after)
@@ -605,18 +617,19 @@ class SchedulerService:
             if not job.no_cache:
                 # a differently spelled spec may build the same graph and
                 # machine: its answer is already cached
-                payload = self.cache.lookup(key)
-                if payload is not None:
-                    return self._ok(job, key, payload, cached=True)
+                text = self.cache.lookup(key)
+                if text is not None:
+                    return self._ok(job, key, text, cached=True)
         self.breaker.record_success(key)
 
         from repro.runtime.serialize import run_result_to_dict
 
-        payload = run_result_to_dict(result)
-        self.cache.insert(
-            key, payload, meta={"app": spec.app, "tenant": job.tenant, "memo": memo}
+        text = self.cache.insert(
+            key,
+            run_result_to_dict(result),
+            meta={"app": spec.app, "tenant": job.tenant, "memo": memo},
         )
-        return self._ok(job, key, payload, cached=False)
+        return self._ok(job, key, text, cached=False)
 
     @staticmethod
     def _build(spec: SubmissionSpec) -> tuple[Any, Any, str]:
@@ -706,7 +719,7 @@ class SchedulerService:
                 self._scheduler_pool[pool_key] = entry
             return entry
 
-    def _ok(self, job: Job, key: CacheKey, payload: dict, *, cached: bool) -> dict:
+    def _ok(self, job: Job, key: CacheKey, text: str, *, cached: bool) -> dict:
         return {
             "ok": True,
             "id": job.id,
@@ -714,7 +727,7 @@ class SchedulerService:
             "cached": cached,
             "graph_fp": key.graph_fp,
             "machine_fp": key.machine_fp,
-            "result": payload,
+            "result": CanonicalJSON(text),
         }
 
     # ------------------------------------------------------------------
@@ -773,6 +786,20 @@ def _memo_key(spec: SubmissionSpec) -> str:
     )
 
 
+def encode_response(response: Mapping[str, Any]) -> bytes:
+    """The wire line for ``response``: ``json.dumps(response, sort_keys=True)``
+    plus a newline, with a cached ``result`` spliced in, not re-encoded."""
+    return (dumps_spliced(response) + "\n").encode()
+
+
+def decode_response(response: Mapping[str, Any]) -> dict:
+    """``response`` as a plain dict: spliced values decoded afresh."""
+    return {
+        k: json.loads(v.text) if isinstance(v, CanonicalJSON) else v
+        for k, v in response.items()
+    }
+
+
 def _error(rid: Optional[str], code: str, message: str, **extra: Any) -> dict:
     out: dict[str, Any] = {
         "ok": False,
@@ -829,7 +856,7 @@ async def serve_tcp(
                 writer.close()
 
         async def send(response: dict) -> None:
-            data = json.dumps(response, sort_keys=True).encode() + b"\n"
+            data = encode_response(response)
             fault = chaos.frame_fault() if chaos is not None else None
             try:
                 if fault == "corrupt":
@@ -848,7 +875,7 @@ async def serve_tcp(
         async def answer(request: Any, ordinal: int) -> None:
             try:
                 if isinstance(request, Mapping):
-                    response = await service.handle_request(request, tenant)
+                    response = await service.respond(request, tenant)
                 else:
                     response = _error(None, "bad-request", "request must be a JSON object")
                 if chaos is not None:
@@ -911,15 +938,20 @@ async def serve_tcp(
             # exception handler on every drain with open connections
             pass
         finally:
+            # teardown may cancel us at either await below; finish
+            # cleanly there too, for the reason given above
             if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+                try:
+                    await asyncio.gather(*pending, return_exceptions=True)
+                except asyncio.CancelledError:
+                    pass  # the pending answers are cancelled with us
             # all of this connection's jobs are done (answer() awaited
             # their futures above), so its auto-created session is idle
             service.release_session(tenant)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
     server = await asyncio.start_server(handle, host, port, limit=MAX_LINE)
@@ -1080,5 +1112,7 @@ __all__ = [
     "SubmissionBreaker",
     "ValidationFailed",
     "WorkerCrashError",
+    "decode_response",
+    "encode_response",
     "serve_tcp",
 ]

@@ -1,4 +1,7 @@
-"""ResultCache behaviour: keys, LRU, invalidation, persistence."""
+"""ResultCache behaviour: keys, LRU, invalidation, persistence.
+
+The cache holds canonical payload text; these tests compare it decoded.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ def test_lookup_miss_then_hit():
     cache = ResultCache()
     assert cache.lookup(key()) is None
     cache.insert(key(), {"makespan": 1.0})
-    assert cache.lookup(key()) == {"makespan": 1.0}
+    assert json.loads(cache.lookup(key())) == {"makespan": 1.0}
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.hit_rate == 0.5
@@ -29,17 +32,17 @@ def test_seed_is_part_of_the_key():
     cache = ResultCache()
     cache.insert(key(seed=1), {"seed": 1})
     assert cache.lookup(key(seed=2)) is None
-    assert cache.lookup(key(seed=1)) == {"seed": 1}
+    assert json.loads(cache.lookup(key(seed=1))) == {"seed": 1}
 
 
 def test_lru_eviction():
     cache = ResultCache(max_entries=2)
     cache.insert(key(1), {"n": 1})
     cache.insert(key(2), {"n": 2})
-    assert cache.lookup(key(1)) == {"n": 1}  # touch 1: 2 becomes LRU
+    assert json.loads(cache.lookup(key(1))) == {"n": 1}  # touch 1: 2 becomes LRU
     cache.insert(key(3), {"n": 3})
     assert cache.lookup(key(2)) is None
-    assert cache.lookup(key(1)) == {"n": 1}
+    assert json.loads(cache.lookup(key(1))) == {"n": 1}
     assert cache.stats.evictions == 1
 
 
@@ -50,7 +53,7 @@ def test_invalidate_machine():
     cache.insert(key(3, mfp="fp:bbbb"), {"n": 3})
     assert cache.invalidate_machine("fp:aaaa") == 2
     assert len(cache) == 1
-    assert cache.lookup(key(3, mfp="fp:bbbb")) == {"n": 3}
+    assert json.loads(cache.lookup(key(3, mfp="fp:bbbb"))) == {"n": 3}
     assert cache.stats.invalidated == 2
 
 
@@ -63,8 +66,8 @@ def test_persistence_round_trip(tmp_path):
 
     reloaded = ResultCache(path)
     assert len(reloaded) == 2
-    assert reloaded.lookup(key(1)) == {"n": 1}
-    assert reloaded.lookup(key(2, seed=9)) == {"n": 2}
+    assert json.loads(reloaded.lookup(key(1))) == {"n": 1}
+    assert json.loads(reloaded.lookup(key(2, seed=9))) == {"n": 2}
 
 
 def test_corrupt_cache_file_starts_cold(tmp_path):
@@ -104,7 +107,7 @@ def test_config_is_part_of_the_key():
     ablated = CacheKey("g", "m", "s", 0, '{"overlap_transfers":false}')
     cache.insert(plain, {"overlap": True})
     assert cache.lookup(ablated) is None
-    assert cache.lookup(plain) == {"overlap": True}
+    assert json.loads(cache.lookup(plain)) == {"overlap": True}
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +125,8 @@ def test_journal_recovers_inserts_never_snapshotted(tmp_path):
     reloaded = ResultCache(path)
     assert len(reloaded) == 2
     assert reloaded.stats.journal_replayed == 2
-    assert reloaded.lookup(key(1)) == {"n": 1}
-    assert reloaded.lookup(key(2)) == {"n": 2}
+    assert json.loads(reloaded.lookup(key(1))) == {"n": 1}
+    assert json.loads(reloaded.lookup(key(2))) == {"n": 2}
 
 
 def test_journal_replays_on_top_of_snapshot(tmp_path):
@@ -152,7 +155,7 @@ def test_truncated_journal_tail_keeps_complete_entries(tmp_path):
 
     reloaded = ResultCache(path)
     assert reloaded.stats.journal_replayed == 1
-    assert reloaded.lookup(key(1)) == {"n": 1}
+    assert json.loads(reloaded.lookup(key(1))) == {"n": 1}
     assert reloaded.lookup(key(2)) is None  # the mid-write entry is gone
 
 
@@ -202,7 +205,7 @@ def test_persist_fault_degrades_without_raising(tmp_path):
     cache.insert(key(1), {"n": 1})  # journal append fails silently
     assert cache.save() is None  # snapshot fails too
     assert cache.stats.persist_errors == 2
-    assert cache.lookup(key(1)) == {"n": 1}  # memory is untouched
+    assert json.loads(cache.lookup(key(1))) == {"n": 1}  # memory is untouched
     assert not path.exists()
     assert not (tmp_path / "cache.json.journal").exists()
 
@@ -218,4 +221,89 @@ def test_persist_fault_recovers_when_faults_stop(tmp_path):
 
     reloaded = ResultCache(path)
     assert reloaded.stats.journal_replayed == 1
-    assert reloaded.lookup(key(2)) == {"n": 2}
+    assert json.loads(reloaded.lookup(key(2))) == {"n": 2}
+
+
+# ----------------------------------------------------------------------
+# Canonical text: encoded once at insert, persisted in the v2 format
+# ----------------------------------------------------------------------
+def test_insert_returns_canonical_text_and_counts_no_hit():
+    cache = ResultCache()
+    payload = {"b": [2, 1], "a": 0.1}
+    text = cache.insert(key(), payload)
+    assert text == json.dumps(payload, sort_keys=True)
+    assert cache.stats.lookups == 0
+    assert cache.lookup(key()) == text
+
+
+def test_cache_keeps_no_reference_to_the_inserted_dict():
+    cache = ResultCache()
+    payload = {"n": [1, 2]}
+    cache.insert(key(), payload)
+    payload["n"].append(3)
+    assert json.loads(cache.lookup(key())) == {"n": [1, 2]}
+
+
+PINNED_ENTRIES = (
+    (
+        CacheKey("g", "m", "s", 3),
+        {"b": [1, 2.5, 'é"\\'], "a": {"z": None, "y": True}},
+        {"app": "matmul", "memo": "{}"},
+    ),
+    (CacheKey("g", "m", "s", 4, '{"prefetch":false}'), {"n": 1e-07}, {}),
+)
+#: The journal after inserting PINNED_ENTRIES, and the snapshot after one
+#: more hit on the first: the repro.result-cache/2 bytes, unchanged since
+#: the format was introduced.
+PINNED_JOURNAL = (
+    '{"schema": "repro.result-cache/2"}\n'
+    '{"key": "[\\"g\\",\\"m\\",\\"s\\",3,\\"{}\\"]", "meta": {"app": "matmul", '
+    '"memo": "{}"}, "result": {"a": {"y": true, "z": null}, "b": [1, 2.5, '
+    '"\\u00e9\\"\\\\"]}}\n'
+    '{"key": "[\\"g\\",\\"m\\",\\"s\\",4,\\"{\\\\\\"prefetch\\\\\\":false}\\"]", '
+    '"meta": {}, "result": {"n": 1e-07}}\n'
+)
+PINNED_SNAPSHOT = (
+    '{"entries": {"[\\"g\\",\\"m\\",\\"s\\",3,\\"{}\\"]": {"hits": 1, "meta": '
+    '{"app": "matmul", "memo": "{}"}, "result": {"a": {"y": true, "z": null}, '
+    '"b": [1, 2.5, "\\u00e9\\"\\\\"]}}, '
+    '"[\\"g\\",\\"m\\",\\"s\\",4,\\"{\\\\\\"prefetch\\\\\\":false}\\"]": '
+    '{"hits": 0, "meta": {}, "result": {"n": 1e-07}}}, '
+    '"schema": "repro.result-cache/2"}'
+)
+
+
+def test_journal_and_snapshot_bytes_are_pinned(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = ResultCache(path)
+    for k, payload, meta in PINNED_ENTRIES:
+        cache.insert(k, payload, meta=meta)
+    assert (tmp_path / "cache.json.journal").read_text() == PINNED_JOURNAL
+    cache.lookup(PINNED_ENTRIES[0][0])
+    cache.save()
+    assert path.read_text() == PINNED_SNAPSHOT
+
+    empty = tmp_path / "empty.json"
+    ResultCache(empty).save()
+    assert empty.read_text() == json.dumps(
+        {"schema": CACHE_SCHEMA, "entries": {}}, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("layer", ["snapshot", "journal"])
+def test_loads_files_in_the_pinned_format(tmp_path, layer):
+    path = tmp_path / "cache.json"
+    if layer == "snapshot":
+        path.write_text(PINNED_SNAPSHOT)
+    else:
+        (tmp_path / "cache.json.journal").write_text(PINNED_JOURNAL)
+    cache = ResultCache(path)
+    assert len(cache) == 2
+    # what was loaded persists back byte for byte (journal records carry
+    # no hit counts)
+    cache.save()
+    hits = '"hits": 1' if layer == "snapshot" else '"hits": 0'
+    assert path.read_text() == PINNED_SNAPSHOT.replace('"hits": 1', hits)
+    for k, payload, meta in PINNED_ENTRIES:
+        assert cache.lookup(k) == json.dumps(payload, sort_keys=True)
+    assert dict(cache.metas()) == {k: meta for k, _, meta in PINNED_ENTRIES}

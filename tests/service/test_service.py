@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -42,6 +44,20 @@ def test_second_submission_served_from_cache_byte_identical(harness):
     )
     # and through the deserializer: the replayed trace is the original
     assert second.result().trace.to_json() == first.result().trace.to_json()
+
+
+def test_in_process_answers_do_not_alias_the_cache(harness):
+    """Each in-process answer decodes its own result: a caller mutating
+    one answer must not change any later answer."""
+    spec = dict(SPEC, seed=24)
+    first = harness.request({"op": "submit", "spec": spec})
+    makespan = first["result"]["makespan"]
+    first["result"]["makespan"] = -1.0
+    first["result"]["trace"]["records"].clear()
+    second = harness.request({"op": "submit", "spec": spec})
+    assert second["cached"]
+    assert second["result"]["makespan"] == makespan
+    assert second["result"]["trace"]["records"]
 
 
 def test_no_cache_forces_a_fresh_run(harness):
@@ -178,6 +194,67 @@ def test_oversized_request_line_handled_cleanly(harness):
             assert (await client.request({"op": "ping"}))["ok"]
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("held_at", ["wait_closed", "pending-answer"])
+def test_teardown_cancelling_a_closing_connection_logs_no_error(monkeypatch, held_at):
+    """A connection handler cancelled by teardown while it waits, after
+    the client hung up, for its socket to close or for an answer still
+    pending must finish cleanly, not leave a CancelledError for the
+    loop's exception handler."""
+    harness = ServiceHarness(ServiceConfig(workers=1), tcp=True)
+    waiting = threading.Event()
+    # referenced here, like a real job's future, so the collector cannot
+    # reap the held task as an unreachable cycle before teardown
+    held_futures = []
+
+    async def hold(*args, **kwargs):
+        fut = asyncio.get_running_loop().create_future()  # only teardown ends this
+        held_futures.append(fut)
+        waiting.set()
+        await fut
+
+    if held_at == "wait_closed":
+        wait_closed = asyncio.StreamWriter.wait_closed
+
+        async def held(self):
+            if asyncio.get_running_loop() is not harness._loop:
+                return await wait_closed(self)
+            await hold()
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", held)
+    else:
+        monkeypatch.setattr(harness.service, "respond", hold)
+    harness.start()
+    try:
+        with socket.create_connection(harness.address, timeout=10) as sock:
+            if held_at == "pending-answer":
+                sock.sendall(b'{"op": "ping"}\n')
+        assert waiting.wait(timeout=10), f"handler never reached {held_at}"
+        time.sleep(0.1)  # let the handler see the hang-up and enter its finally
+    finally:
+        harness.stop()
+    assert harness.loop_errors == []
+
+
+@pytest.mark.parametrize("cmd", ["smoke", "chaos-smoke"])
+def test_smoke_commands_fail_on_loop_errors(monkeypatch, capsys, cmd):
+    """The CI smokes exit non-zero when a cleanly stopped server's event
+    loop recorded an unhandled error, and say so."""
+    from repro.service.__main__ import main
+
+    wait_closed = asyncio.StreamWriter.wait_closed
+
+    async def broken(self):
+        if threading.current_thread().name == "repro-service":
+            raise RuntimeError("injected server-side wait_closed failure")
+        return await wait_closed(self)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", broken)
+    assert main([cmd]) == 1
+    fails = [ln for ln in capsys.readouterr().err.splitlines() if "FAIL" in ln]
+    assert fails
+    assert all("unhandled event-loop error" in ln for ln in fails)
 
 
 def test_shared_scheduler_pool_reuses_instances(harness):
